@@ -40,6 +40,11 @@ by ``scripts/serve_demo.py``'s driver.  The full grid inventories a
 quantiles from the service's own ``repro.obs`` histograms (the p99 the
 acceptance bar quotes), warm-path accounting and the byte-identity
 verdict of the cold/warm/concurrent passes.
+
+The ``observability`` section times its cell twice: on the scalar engine
+(``enabled_overhead_pct``) and on the kernel engine
+(``kernel_enabled_overhead_pct``), where the simulation is cheap enough
+that per-frame, per-session and per-cell telemetry costs show undiluted.
 """
 
 from __future__ import annotations
@@ -211,7 +216,61 @@ def bench_observability(n_tags: int, runs: int, seed: int,
             print(f"  disabled path vs BENCH_3 baseline {baseline_s:.4f}s: "
                   f"{stats['disabled_vs_bench3_pct']:+.1f}%",
                   file=sys.stderr)
+    stats.update(_kernel_observability(protocol, n_tags, runs, seed, repeats))
     return stats
+
+
+#: Shortest kernel-probe sample: a smoke cell takes milliseconds, the
+#: scheduler's granularity, so a sample strings calls together.
+_MIN_SAMPLE_S = 1.0
+
+
+def _kernel_observability(protocol: Fcat, n_tags: int, runs: int, seed: int,
+                          repeats: int) -> dict:
+    """The same cell on ``engine="kernel"``, scope absent vs installed.
+
+    The frame-at-once kernel makes the simulation cheap, so whatever the
+    telemetry costs per frame, session and chunk shows here undiluted.
+    A sample alternates the two legs call by call for at least
+    ``_MIN_SAMPLE_S`` and keeps each leg's mean per call, so machine
+    drift lands on both legs alike; best of ``repeats`` samples per leg.
+    """
+    def unobserved() -> None:
+        run_cell(protocol, n_tags, runs, seed, engine="kernel")
+
+    def observed() -> None:
+        with observe():
+            unobserved()
+
+    started = time.perf_counter()
+    unobserved()  # warm caches/allocators; also sizes the samples
+    observed()
+    per_call_s = (time.perf_counter() - started) / 2
+    calls = max(1, math.ceil(_MIN_SAMPLE_S / max(per_call_s, 1e-9)))
+
+    disabled: list[float] = []
+    enabled: list[float] = []
+    for _ in range(repeats):
+        legs = [0.0, 0.0]
+        for call in range(calls):
+            # Swap which leg goes first every call: no order bias.
+            for index in (0, 1) if call % 2 else (1, 0):
+                started = time.perf_counter()
+                (unobserved, observed)[index]()
+                legs[index] += time.perf_counter() - started
+        disabled.append(legs[0] / calls)
+        enabled.append(legs[1] / calls)
+    disabled_s, enabled_s = min(disabled), min(enabled)
+    overhead_pct = 100.0 * (enabled_s - disabled_s) / disabled_s
+    print(f"  obs probe {protocol.name} N={n_tags} kernel: disabled "
+          f"{disabled_s:.4f}s, enabled {enabled_s:.4f}s "
+          f"({overhead_pct:+.1f}%, {calls} calls/sample)", file=sys.stderr)
+    return {
+        "kernel_calls_per_sample": calls,
+        "kernel_disabled_s": round(disabled_s, 5),
+        "kernel_enabled_s": round(enabled_s, 5),
+        "kernel_enabled_overhead_pct": round(overhead_pct, 2),
+    }
 
 
 def bench_sweep(n_values: list[int], runs: int, seed: int, jobs: int,
@@ -491,7 +550,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"[{BENCH_NAME}] sweep speedup x{sweep_stats['speedup']}, "
           f"warm cache {sweep_stats['warm_fraction']:.1%} of cold, "
           f"utilization {sweep_stats['worker_utilization']:.0%}, "
-          f"obs overhead {observability['enabled_overhead_pct']:+.1f}%, "
+          f"obs overhead {observability['enabled_overhead_pct']:+.1f}% "
+          f"(kernel {observability['kernel_enabled_overhead_pct']:+.1f}%), "
           f"planner x{planner_stats['run_reduction']} runs "
           f"(within_ci={planner_stats['within_ci']}, "
           f"jobs-invariant={planner_stats['planner_jobs_invariant']}), "

@@ -154,6 +154,9 @@ class _FcatSession:
         #: the disabled path costs one ``is None`` test per frame.
         self.obs = scope.active()
         self.name = name
+        #: ``result.resolved_from_collision`` at the last frame/probe
+        #: event: each event reports the resolutions since the previous.
+        self._resolved_mark = 0
 
     def run(self) -> ReadingResult:
         # The frame cascade sizes each frame from the previous frame's
@@ -214,6 +217,13 @@ class _FcatSession:
         self._observe_frame(p, slots_run, n_empty, n_collision)
         return n_empty
 
+    def _resolved_since_last_event(self) -> int:
+        """Collision-record resolutions since the previous frame/probe."""
+        total = self.result.resolved_from_collision
+        delta = total - self._resolved_mark
+        self._resolved_mark = total
+        return delta
+
     def _observe_frame(self, p: float, slots_run: int, n_empty: int,
                        n_collision: int) -> None:
         """Telemetry for one finished (or bootstrap-aborted) frame."""
@@ -224,7 +234,8 @@ class _FcatSession:
         obs.emit("frame", protocol=self.name, frame_index=frame_index,
                  report_probability=p, empty=n_empty,
                  singleton=slots_run - n_empty - n_collision,
-                 collision=n_collision)
+                 collision=n_collision,
+                 resolved=self._resolved_since_last_event())
         estimate = self.estimator.remaining()
         actual = len(self.active)
         obs.emit("estimator_update", protocol=self.name,
@@ -316,10 +327,6 @@ class _FcatSession:
             self.result.index_announcements += 1
             self._learned_this_slot.append(tag)
             self._ack(tag)
-        if self.obs is not None and resolved:
-            self.obs.emit("anc_resolution", protocol=self.name,
-                          slot_index=self.slot_index - 1,
-                          resolved=len(resolved))
 
     def _ack(self, tag: int) -> None:
         if self.channel.ack_received(self.rng):
@@ -340,7 +347,8 @@ class _FcatSession:
         self._trace_slot(slot, outcome, 1.0, probe=True)
         if self.obs is not None:
             self.obs.emit("termination_probe", protocol=self.name,
-                          slot_index=slot, outcome=outcome)
+                          slot_index=slot, outcome=outcome,
+                          resolved=self._resolved_since_last_event())
         if outcome == "empty":
             return True
         if outcome == "collision":

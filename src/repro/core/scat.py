@@ -19,7 +19,6 @@ from repro.air.timing import ICODE_TIMING, TimingModel
 from repro.core.collision import RecordStore
 from repro.core.optimal import optimal_omega
 from repro.estimate.kodialam import estimate_tag_count, probe_time_seconds
-from repro.obs import scope
 from repro.sim.active_set import ActiveSet
 from repro.sim.base import TagReadingProtocol
 from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
@@ -101,7 +100,6 @@ class Scat(TagReadingProtocol):
             result.extra["pre_probe_slots"] = pre.total_probe_slots
         max_slots = int(config.max_slots_factor * max(len(population), 1)
                         + 1000)
-        obs = scope.active()  # one None test per resolution while disabled
         slot_index = 0
         empty_streak = 0
         # If the pre-step under-counted, the reader may believe only a tag
@@ -124,9 +122,6 @@ class Scat(TagReadingProtocol):
                 # knows to stop (section IV-A; V-A improves on this).
                 result.id_announcements += 1
                 ack(tag)
-            if obs is not None and resolved:
-                obs.emit("anc_resolution", protocol=self.name,
-                         slot_index=slot, resolved=len(resolved))
 
         # SCAT's slot walk feeds collision outcomes back into the next
         # slot's split decision: serial by protocol design; batching

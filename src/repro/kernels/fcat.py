@@ -23,9 +23,9 @@ never drawing them, every Bernoulli cell being independent.  Two replay
 bodies implement the same process:
 
 * ``_replay_exact`` -- handles every configuration (channel impairments,
-  bootstrap-abort, observability) with the scalar engine's slot logic;
-* ``_replay_lean`` -- the measured hot path for the perfect channel with
-  observability disabled, where three invariants license shortcuts: no
+  bootstrap-abort) with the scalar engine's slot logic;
+* ``_replay_lean`` -- the measured hot path for a draw-free channel,
+  observed or not, where three invariants license shortcuts: no
   channel draw ever happens, an identified tag is always acked (so a
   transmitting tag is never already learned and records never resolve
   eagerly at creation), and mid-frame cancellations only arise from
@@ -36,6 +36,16 @@ bodies implement the same process:
 Both bodies consume the generator identically (only the frame draw uses
 it on a perfect channel), so they are bit-for-bit interchangeable where
 the lean preconditions hold -- pinned by ``tests/kernels``.
+
+Telemetry is per frame, never per slot: under an active ``repro.obs``
+scope each frame yields one ``frame`` and one ``estimator_update`` event
+(each probe one ``termination_probe``), folded from the tallies both
+bodies already keep, so observing a session never changes which body
+replays it.  Events are emitted as the frames run: within a session in
+the scalar engine's order (a frame's ``frame`` then its
+``estimator_update``, a probe right after the frame that triggered it),
+while a batch's sessions interleave frame by frame, as the lockstep
+driver advances them.
 
 Seed semantics are **kernel-v2** (``docs/performance.md``): each session
 owns an independent per-run generator minted from the same spawned child
@@ -115,11 +125,15 @@ class _FcatKernelSession:
         self.max_p = config.max_report_probability
         self.obs = scope.active()
         self.name = name
-        # `draw_free` licenses the uninformative-frame fast path (no
-        # channel draw can ever flip a slot's class); `lean` additionally
-        # requires observability off for the shortcut replay body.
+        # `draw_free` licenses the uninformative-frame fast path and the
+        # lean replay body (no channel draw can ever flip a slot's class).
+        # Telemetry is folded per frame from result tallies, so it never
+        # picks the body.
         self.draw_free = _draw_free(channel)
-        self.lean = self.obs is None and self.draw_free
+        self.lean = self.draw_free
+        #: ``result.resolved_from_collision`` at the last frame/probe
+        #: event: each event reports the resolutions since the previous.
+        self._resolved_mark = 0
 
     def step(self) -> bool:
         """Advance one frame (plus termination probe); True when done."""
@@ -283,7 +297,7 @@ class _FcatKernelSession:
     def _replay_lean(self, counts: list[int], ranks: list[int],
                      frame_ranks: set[int], last_pos: dict[int, int] | None,
                      removed: list[int]) -> tuple[int, int, int, bool]:
-        """Hot replay body: perfect channel, observability off, no abort.
+        """Hot replay body: draw-free channel, no bootstrap abort.
 
         ``last_pos`` (rank -> last event position) is built only for
         frames where some rank transmits twice: there a tag learned
@@ -489,7 +503,7 @@ class _FcatKernelSession:
                       removed: dict[int, None], bootstrapping: bool,
                       abort_after: int | None,
                       ) -> tuple[int, int, int, bool]:
-        """Reference replay body: any channel, telemetry, bootstrap-abort."""
+        """Reference replay body: any channel, bootstrap-abort."""
         result = self.result
         items = self.items
         n_empty = n_collision = slots_run = 0
@@ -538,6 +552,13 @@ class _FcatKernelSession:
             items.pop()
             pos[tag] = -1
 
+    def _resolved_since_last_event(self) -> int:
+        """Collision-record resolutions since the previous frame/probe."""
+        total = self.result.resolved_from_collision
+        delta = total - self._resolved_mark
+        self._resolved_mark = total
+        return delta
+
     def _observe_frame(self, p: float, slots_run: int, n_empty: int,
                        n_collision: int) -> None:
         obs = self.obs
@@ -547,7 +568,8 @@ class _FcatKernelSession:
         obs.emit("frame", protocol=self.name, frame_index=frame_index,
                  report_probability=p, empty=n_empty,
                  singleton=slots_run - n_empty - n_collision,
-                 collision=n_collision)
+                 collision=n_collision,
+                 resolved=self._resolved_since_last_event())
         estimate = self.estimator.remaining()
         actual = len(self.items)
         obs.emit("estimator_update", protocol=self.name,
@@ -570,47 +592,44 @@ class _FcatKernelSession:
             result.empty_slots += 1
             return "empty"
         if k == 1 and channel.singleton_ok(self.rng):
-            self._handle_singleton(tags[0], slot, removed)
+            self._handle_singleton(tags[0], removed)
             return "singleton"
         if k >= 2 and channel.captured(self.rng):
             captured = tags[int(self.rng.integers(0, k))]
             rest = [tag for tag in tags if tag != captured]
-            self._handle_singleton(captured, slot, removed)
+            self._handle_singleton(captured, removed)
             if len(rest) >= 2:
                 usable = channel.record_usable(self.rng)
                 resolved = self.store.add_record(slot, rest, usable)
-                self._apply_resolutions(resolved, slot, removed)
+                self._apply_resolutions(resolved, removed)
             elif channel.record_usable(self.rng) \
                     and not self.store.is_learned(rest[0]):
                 cascade = self.store.learn(rest[0])
-                self._apply_resolutions([rest[0]] + cascade, slot, removed)
+                self._apply_resolutions([rest[0]] + cascade, removed)
             return "singleton"
         result.collision_slots += 1
         if k >= 2:
             usable = channel.record_usable(self.rng)
             resolved = self.store.add_record(slot, tags, usable)
-            self._apply_resolutions(resolved, slot, removed)
+            self._apply_resolutions(resolved, removed)
         return "collision"
 
-    def _handle_singleton(self, tag: int, slot: int,
+    def _handle_singleton(self, tag: int,
                           removed: dict[int, None]) -> None:
         self.result.singleton_slots += 1
         if not self.store.is_learned(tag):
             self.result.n_read += 1
         resolved = self.store.learn(tag)
         self._ack(tag, removed)
-        self._apply_resolutions(resolved, slot, removed)
+        self._apply_resolutions(resolved, removed)
 
-    def _apply_resolutions(self, resolved: list[int], slot: int,
+    def _apply_resolutions(self, resolved: list[int],
                            removed: dict[int, None]) -> None:
         for tag in resolved:
             self.result.n_read += 1
             self.result.resolved_from_collision += 1
             self.result.index_announcements += 1
             self._ack(tag, removed)
-        if self.obs is not None and resolved:
-            self.obs.emit("anc_resolution", protocol=self.name,
-                          slot_index=slot, resolved=len(resolved))
 
     def _ack(self, tag: int, removed: dict[int, None]) -> None:
         if self.channel.ack_received(self.rng):
@@ -633,7 +652,8 @@ class _FcatKernelSession:
             self._apply_removals(removed)
         if self.obs is not None:
             self.obs.emit("termination_probe", protocol=self.name,
-                          slot_index=slot, outcome=outcome)
+                          slot_index=slot, outcome=outcome,
+                          resolved=self._resolved_since_last_event())
         if outcome == "empty":
             return True
         if outcome == "collision":

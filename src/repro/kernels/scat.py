@@ -54,7 +54,6 @@ from repro.core.scat import Scat
 from repro.kernels.fcat import _draw_free
 from repro.kernels.frame import resample_duplicate_slots
 from repro.kernels.records import KernelRecordStore
-from repro.obs import scope
 from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
 from repro.sim.result import ReadingResult
 
@@ -98,8 +97,6 @@ class _ScatKernelSession:
         self.collision_streak = 0
         self.correction = 0.0
         self.done = False
-        self.obs = scope.active()
-        self.name = name
 
     def step(self) -> bool:
         """Advance one probe slot or one pre-drawn block; True when done."""
@@ -130,7 +127,7 @@ class _ScatKernelSession:
             self.correction *= _CORRECTION_DECAY
             self.done = True  # silence at p = 1: every ID is collected
         elif k == 1:
-            self._singleton(self.items[0], slot)
+            self._singleton(self.items[0])
         else:
             result.collision_slots += 1
             self.collision_streak += 1  # the >= 15 doubling skips probes
@@ -222,7 +219,7 @@ class _ScatKernelSession:
                 continue
             self.empty_streak = 0
             if k == 1:
-                self._singleton(items[ranks[offset]], slot)
+                self._singleton(items[ranks[offset]])
                 offset += 1
                 continue
             result.collision_slots += 1
@@ -242,7 +239,7 @@ class _ScatKernelSession:
 
     # -- shared slot outcomes --------------------------------------------
 
-    def _singleton(self, tag: int, slot: int) -> None:
+    def _singleton(self, tag: int) -> None:
         """Learn one tag, ack it, and apply the resolution cascade.
 
         On a draw-free channel a transmitter is never already learned, so
@@ -261,9 +258,6 @@ class _ScatKernelSession:
             result.resolved_from_collision += 1
             result.id_announcements += 1  # SCAT announces the full 96-bit ID
             self._remove(recovered)
-        if self.obs is not None and resolved:
-            self.obs.emit("anc_resolution", protocol=self.name,
-                          slot_index=slot, resolved=len(resolved))
 
     def _remove(self, tag: int) -> None:
         position = self.pos[tag]

@@ -71,20 +71,19 @@ EVENT_SCHEMA: dict[str, EventSpec] = {
                      empty_slots="int", singleton_slots="int",
                      collision_slots="int", resolved_from_collision="int",
                      frames="int", duration_s="float"),
-    # One FCAT frame: the slot-outcome mix at the advertised probability.
+    # One FCAT frame: the slot-outcome mix at the advertised probability
+    # and the IDs recovered from collision records during it.
     "frame": _spec(protocol="str", frame_index="int",
                    report_probability="float", empty="int", singleton="int",
-                   collision="int"),
+                   collision="int", resolved="int"),
     # The embedded estimator after a frame: belief vs ground truth.
     "estimator_update": _spec(protocol="str", frame_index="int",
                               estimate="float", actual_remaining="int",
                               error="float"),
-    # IDs recovered by resolving ANC collision records in one slot.
-    "anc_resolution": _spec(protocol="str", slot_index="int",
-                            resolved="int"),
-    # The p = 1 probe that decides session termination.
+    # The p = 1 probe that decides session termination, and the IDs it
+    # recovered from collision records.
     "termination_probe": _spec(protocol="str", slot_index="int",
-                               outcome="str"),
+                               outcome="str", resolved="int"),
     # One sweep cell finished (computed or served from the result cache).
     "cell_done": _spec(key="str", protocol="str", n_tags="int", runs="int",
                        seed="int", elapsed_s="float", cached="bool"),

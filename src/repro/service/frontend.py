@@ -138,8 +138,12 @@ class ServiceFrontend:
                         400, _error_body("bad Content-Length"))
         if content_length > MAX_BODY_BYTES:
             return _http_response(413, _error_body("request body too large"))
-        body = await reader.readexactly(content_length) if content_length \
-            else b""
+        try:
+            body = await reader.readexactly(content_length) \
+                if content_length else b""
+        except asyncio.IncompleteReadError:
+            # The client closed before sending its declared Content-Length.
+            return _http_response(400, _error_body("truncated request body"))
         return await self._route(method, path, body)
 
     async def _route(self, method: str, path: str, body: bytes) -> bytes:

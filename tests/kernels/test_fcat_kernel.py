@@ -15,6 +15,8 @@ layers of evidence:
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from repro.core.fcat import Fcat
 from repro.experiments.runner import rng_from_seed, spawn_run_seeds
 from repro.kernels.fcat import _FcatKernelSession, batched_fcat_sessions
 from repro.obs.scope import observe
-from repro.sim.channel import ChannelModel
+from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
 from repro.sim.population import TagPopulation
 
 #: Paired z-score bound: under equal means the probability of exceeding
@@ -139,27 +141,98 @@ def test_zigzag_config_is_rejected():
                            np.random.default_rng(0))
 
 
-def test_observed_kernel_emits_the_scalar_telemetry():
-    """Same event vocabulary, internally consistent counts.
+def test_lean_body_runs_under_observation():
+    """Observation never picks the replay body: only the channel does."""
+    protocol = Fcat(lam=2)
+    impaired = ChannelModel(ack_loss_prob=0.05)
+    with observe():
+        observed = _FcatKernelSession(protocol.name, protocol, 100,
+                                      np.random.default_rng(0),
+                                      channel=PERFECT_CHANNEL)
+        noisy = _FcatKernelSession(protocol.name, protocol, 100,
+                                   np.random.default_rng(0), channel=impaired)
+    assert observed.obs is not None
+    assert observed.lean
+    assert not noisy.lean
 
-    Under an active observation the kernel runs its exact body and must
-    speak the scalar session's telemetry language -- same event names,
-    one ``frame`` event per frame, ANC resolutions summing to the
-    result's ``resolved_from_collision``.
+
+@pytest.mark.parametrize("lam", [2, 3, 4])
+def test_observation_does_not_change_kernel_results(lam):
+    protocol = Fcat(lam=lam)
+    seeds = spawn_run_seeds(40 + lam, 4)
+    plain = batched_fcat_sessions(
+        protocol, 300, [rng_from_seed(child) for child in seeds])
+    with observe():
+        observed = batched_fcat_sessions(
+            protocol, 300, [rng_from_seed(child) for child in seeds])
+    assert observed == plain
+
+
+def _frame_tier_resolved(events) -> int:
+    return sum(event.fields["resolved"] for event in events
+               if event.name in ("frame", "termination_probe"))
+
+
+def _assert_time_ordered(events, frame_size: int) -> None:
+    """Each frame's ``estimator_update`` follows its ``frame`` event, and a
+    ``termination_probe`` follows exactly the all-empty frames."""
+    tokens = "".join({"frame": "F", "estimator_update": "E",
+                      "termination_probe": "P"}[event.name]
+                     for event in events)
+    assert re.fullmatch(r"(FEP?)+", tokens), tokens
+    frames = [event for event in events if event.name == "frame"]
+    updates = [event for event in events if event.name == "estimator_update"]
+    assert [event.fields["frame_index"] for event in frames] == \
+        list(range(len(frames)))
+    assert [event.fields["frame_index"] for event in updates] == \
+        list(range(len(frames)))
+    probed = [event.fields["empty"] == frame_size for event in frames]
+    followed = [tokens[position + 2: position + 3] == "P"
+                for position, token in enumerate(tokens) if token == "F"]
+    assert probed == followed
+
+
+def test_observed_kernel_emits_the_scalar_telemetry():
+    """Same frame-tier vocabulary, internally consistent counts.
+
+    Both engines speak the scalar session's per-frame telemetry -- same
+    event names, one ``frame`` event per frame -- and the ``resolved``
+    field of the frame and probe events sums to the result's
+    ``resolved_from_collision`` on either engine.
     """
     protocol = Fcat(lam=2)
     population = TagPopulation.random(200, np.random.default_rng(99))
     with observe() as scalar_obs:
-        protocol.read_all(population, np.random.default_rng(5))
+        scalar = protocol.read_all(population, np.random.default_rng(5))
     with observe() as kernel_obs:
         result = batched_fcat_sessions(protocol, 200,
                                        [np.random.default_rng(5)])[0]
-    scalar_names = {event.name for event in scalar_obs.events.events}
-    kernel_names = {event.name for event in kernel_obs.events.events}
-    assert kernel_names == scalar_names
+    scalar_events = scalar_obs.events.events
     kernel_events = kernel_obs.events.events
+    scalar_names = {event.name for event in scalar_events}
+    kernel_names = {event.name for event in kernel_events}
+    assert kernel_names == scalar_names == {"frame", "estimator_update",
+                                            "termination_probe"}
     assert sum(1 for e in kernel_events if e.name == "frame") == result.frames
-    resolved = sum(e.fields["resolved"] for e in kernel_events
-                   if e.name == "anc_resolution")
-    assert resolved == result.resolved_from_collision
-    assert result.complete
+    assert sum(1 for e in scalar_events if e.name == "frame") == scalar.frames
+    assert result.resolved_from_collision > 0
+    assert _frame_tier_resolved(kernel_events) == \
+        result.resolved_from_collision
+    assert _frame_tier_resolved(scalar_events) == \
+        scalar.resolved_from_collision
+    assert result.complete and scalar.complete
+    _assert_time_ordered(kernel_events, protocol.config.frame_size)
+    _assert_time_ordered(scalar_events, protocol.config.frame_size)
+
+
+def test_frame_tier_resolved_on_an_impaired_channel():
+    """The exact body's probe and capture resolutions are counted too."""
+    channel = ChannelModel(ack_loss_prob=0.1, capture_prob=0.2)
+    protocol = Fcat(lam=3)
+    with observe() as observation:
+        result = batched_fcat_sessions(protocol, 150,
+                                       [np.random.default_rng(8)],
+                                       channel=channel)[0]
+    assert result.resolved_from_collision > 0
+    assert _frame_tier_resolved(observation.events.events) == \
+        result.resolved_from_collision

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core.scat import Scat
-from repro.experiments.runner import rng_from_seed, spawn_run_seeds
+from repro.experiments.runner import (rng_from_seed, run_single,
+                                     spawn_run_seeds)
+from repro.kernels.engine import run_batch
 from repro.kernels.scat import _ScatKernelSession, batched_scat_sessions
 from repro.obs.scope import observe
 from repro.sim.channel import ChannelModel
@@ -78,19 +80,18 @@ def test_unsupported_configs_are_rejected():
 
 
 def test_observed_kernel_emits_the_scalar_telemetry():
-    """SCAT telemetry is the ANC resolution stream; vocabularies and the
-    resolution totals must agree with the scalar session's."""
+    """SCAT telemetry is the shared ``session`` event: both engines emit
+    only it, and its ``resolved_from_collision`` matches the session's
+    result on either path."""
     protocol = Scat(lam=2)
-    population = TagPopulation.random(200, np.random.default_rng(99))
+    child = spawn_run_seeds(5, 1)[0]
     with observe() as scalar_obs:
-        protocol.read_all(population, np.random.default_rng(5))
+        scalar = run_single(protocol, 200, child)
     with observe() as kernel_obs:
-        result = batched_scat_sessions(protocol, 200,
-                                       [np.random.default_rng(5)])[0]
-    scalar_names = {event.name for event in scalar_obs.events.events}
-    kernel_names = {event.name for event in kernel_obs.events.events}
-    assert kernel_names == scalar_names == {"anc_resolution"}
-    resolved = sum(event.fields["resolved"]
-                   for event in kernel_obs.events.events)
-    assert resolved == result.resolved_from_collision
-    assert result.complete
+        kernel = run_batch(protocol, 200, [child])[0]
+    for observation, result in ((scalar_obs, scalar), (kernel_obs, kernel)):
+        events = observation.events.events
+        assert [event.name for event in events] == ["session"]
+        assert events[0].fields["resolved_from_collision"] == \
+            result.resolved_from_collision > 0
+        assert result.complete

@@ -31,9 +31,10 @@ class TestValidateEvent:
             validate_event("cache_hit", {"key": 42})
 
     def test_bool_is_not_an_int(self):
-        fields = {"protocol": "SCAT-2", "slot_index": True, "resolved": 1}
+        fields = {"protocol": "FCAT-2", "slot_index": True,
+                  "outcome": "empty", "resolved": 0}
         with pytest.raises(ValueError, match="got bool"):
-            validate_event("anc_resolution", fields)
+            validate_event("termination_probe", fields)
 
     def test_int_is_accepted_where_float_declared(self):
         validate_event("cache_invalidated", {"path": "p", "reason": "r"})

@@ -135,6 +135,34 @@ def test_stats_accounting():
     assert quantiles["p99_s"] >= quantiles["p50_s"] >= 0.0
 
 
+#: Events a cold request may emit: request, plan, cell, session and
+#: frame tiers only -- nothing whose count grows with slots or with ANC
+#: resolutions.
+FRAME_TIER_EVENTS = {"request_start", "shard_plan", "cell_done", "chunk_done",
+                     "session", "frame", "estimator_update",
+                     "termination_probe", "shard_done", "request_done"}
+
+
+def test_service_telemetry_scales_with_frames_not_resolutions():
+    """Per cold request: at most two events per frame (``frame`` and
+    ``estimator_update``), one per zone (``shard_done``), and a handful
+    per request, cell and session -- thousands of tags, tens of events."""
+    service = InventoryService()
+    for request in (InventoryRequest(n_tags=3000, zones=3, seed=21),
+                    InventoryRequest(n_tags=4000, zones=4, seed=22)):
+        before = len(service.obs.events)
+        payload = json.loads(service.handle(request))
+        added = service.obs.events.events[before:]
+        assert {event.name for event in added} <= FRAME_TIER_EVENTS
+        frames = sum(event.fields["frames"] for event in added
+                     if event.name == "session")
+        resolved = sum(event.fields["resolved_from_collision"]
+                       for event in added if event.name == "session")
+        assert resolved > len(added)  # resolutions no longer cost events
+        assert len(added) <= 2 * frames + request.zones + 10
+        assert payload["facility"]["unique_tags"] == request.n_tags
+
+
 def test_scalar_and_kernel_engines_both_serve():
     service = InventoryService()
     kernel = json.loads(service.handle(

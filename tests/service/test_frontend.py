@@ -88,6 +88,28 @@ def test_routing_errors():
     run(_with_frontend(scenario))
 
 
+def test_truncated_body_gets_400_and_the_server_keeps_serving():
+    async def scenario(frontend):
+        host, port = frontend.host, frontend.port
+        body = json.dumps(REQUEST).encode("utf-8")
+        reader, writer = await asyncio.open_connection(host, port)
+        head = (f"POST /inventory HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {len(body) + 10}\r\n"
+                f"Connection: close\r\n\r\n")
+        writer.write(head.encode("ascii") + body)
+        await writer.drain()
+        writer.write_eof()  # short body: EOF before Content-Length bytes
+        response = await reader.read()
+        writer.close()
+        status_line, _, rest = response.partition(b"\r\n")
+        assert b" 400 " in status_line
+        _, _, payload = rest.partition(b"\r\n\r\n")
+        assert json.loads(payload)["error"] == "truncated request body"
+        status, _ = await post_inventory(host, port, REQUEST)
+        assert status == 200
+    run(_with_frontend(scenario))
+
+
 def test_health_stats_and_metrics_endpoints_cohere(tmp_path):
     async def scenario(frontend):
         host, port = frontend.host, frontend.port
