@@ -58,8 +58,6 @@ from repro.devtools.cache import (
     rule_sources_digest,
 )
 from repro.devtools.config import DEFAULT_CONFIG, LintConfig
-from repro.devtools.dependence import CLASS_REDUCTION, CLASS_SERIAL, \
-    CLASS_VECTORIZABLE
 from repro.devtools.effects import ALL_EFFECTS, EffectAnalysis
 from repro.devtools.findings import Finding, LintReport
 from repro.devtools.index import ProjectIndex, build_module_index
@@ -348,18 +346,14 @@ class LintEngine:
 
 
 def _analysis_summary(project: ProjectContext) -> dict:
-    """Tree-wide dependence/effect tallies for the JSON report.
+    """Tree-wide effect tallies for the JSON report.
 
-    ``loops`` counts every indexed loop by classification; ``effects``
-    counts functions by closed interprocedural effect (a function with two
-    effects counts under both; ``pure`` means the empty effect set).
+    ``effects`` counts functions by closed interprocedural effect (a
+    function with two effects counts under both; ``pure`` means the empty
+    effect set).
     """
     if project.index is None:
         return {}
-    loops = {CLASS_VECTORIZABLE: 0, CLASS_REDUCTION: 0, CLASS_SERIAL: 0}
-    for _, info in project.index.all_functions():
-        for loop in info.loops:
-            loops[loop.classification] += 1
     effects = {"pure": 0, **{name: 0 for name in sorted(ALL_EFFECTS)}}
     analysis = EffectAnalysis(project.index)
     for summary in analysis.summaries.values():
@@ -367,7 +361,7 @@ def _analysis_summary(project: ProjectContext) -> dict:
             effects["pure"] += 1
         for name in summary:
             effects[name] += 1
-    return {"loops": loops, "effects": effects}
+    return {"effects": effects}
 
 
 def _pass1_work(item: tuple[str, str, str, str, tuple[str, ...],

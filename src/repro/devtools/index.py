@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from repro.devtools.dataflow import DefUse, def_use_records, global_access
-from repro.devtools.dependence import LoopSummary, analyze_loops
 from repro.devtools.effects import local_effects
 from repro.devtools.intervals import Interval, interval_of_expr
 from repro.devtools.shapes import ShapeInfo, infer_expr
@@ -252,8 +251,6 @@ class FunctionInfo:
     global_writes: list[tuple[str, int, str]] = field(default_factory=list)
     #: ``# repro: shape(...)`` contract on the ``def`` line = return value.
     return_contract: ShapeInfo | None = None
-    #: Loop-carried dependence summaries, one per loop (dependence.py).
-    loops: list[LoopSummary] = field(default_factory=list)
     #: Locally-evident effects (effects.py); closed over the call graph
     #: by EffectAnalysis in pass 2.
     effects_local: tuple[str, ...] = ()
@@ -289,7 +286,6 @@ class FunctionInfo:
                                   for write in self.global_writes],
                 "return_contract": (self.return_contract.to_dict()
                                     if self.return_contract else None),
-                "loops": [loop.to_list() for loop in self.loops],
                 "effects_local": list(self.effects_local)}
 
     @classmethod
@@ -311,8 +307,6 @@ class FunctionInfo:
                                   for w in data.get("global_writes", [])],
                    return_contract=(ShapeInfo.from_dict(contract)
                                     if contract else None),
-                   loops=[LoopSummary.from_list(loop)
-                          for loop in data.get("loops", [])],
                    effects_local=tuple(data.get("effects_local", [])))
 
 
@@ -551,7 +545,6 @@ class _ModuleIndexer:
             def_uses=def_use_records(node),
             global_reads=reads, global_writes=writes,
             return_contract=self.contracts.get(node.lineno),
-            loops=analyze_loops(node, self.numpy_names),
             effects_local=tuple(sorted(
                 local_effects(node, self.module_globals))))
         param_kinds = {p.name: p.kind for p in params}

@@ -8,9 +8,8 @@ registry) are the whole-program families that run over the pass-1 index;
 R9 (event-schema) pins observability emit sites to the declared schema;
 R10--R12 (rng order-sensitivity, fork-safety, shape/dtype contracts) are
 the data-flow families built on :mod:`repro.devtools.dataflow` and
-:mod:`repro.devtools.shapes`; R13--R15 (vectorization antipatterns,
-effect contracts, kernel equivalence) are the vectorization-readiness
-families built on :mod:`repro.devtools.dependence` and
+:mod:`repro.devtools.shapes`; R14--R15 (effect contracts, kernel
+equivalence) are the vectorization-readiness families built on
 :mod:`repro.devtools.effects`.
 """
 

@@ -1,17 +1,8 @@
-"""R13--R15 -- vectorization readiness.
+"""R14--R15 -- vectorization readiness.
 
-The ROADMAP's batching item will rewrite the per-slot simulation loops
-into array kernels.  These three families keep that rewrite honest before
-and after it happens:
+The batched kernels rewrite the per-slot simulation loops into array
+code.  These two families keep that rewrite honest:
 
-* **R13 (vectorization-antipattern, warning)** -- flags *hot* loops (the
-  enclosing function is call-graph reachable from a BENCH entry point in
-  ``LintConfig.hotspot_entry_points``) inside ``vectorization_dirs`` that
-  are serially dependent or exhibit a numpy antipattern
-  (:mod:`repro.devtools.dependence`).  Warnings, not errors: a serial
-  protocol session is often *correct*, just slow -- the point is that the
-  cost is visible and each instance carries an explicit
-  ``# repro: allow-vectorization-antipattern`` rationale or gets fixed.
 * **R14 (effect-contract, error)** -- checks ``# repro: pure`` /
   ``# repro: effects(...)`` comments against the interprocedural effect
   summaries (:mod:`repro.devtools.effects`).  A declared-pure batching
@@ -31,65 +22,47 @@ and after it happens:
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
-from repro.devtools.config import LintConfig, path_has_dir
-from repro.devtools.dependence import CLASS_SERIAL
+from repro.devtools.config import LintConfig
 from repro.devtools.effects import (
     ALL_EFFECTS,
     EffectAnalysis,
+    iter_comments,
     parse_effect_contracts,
 )
-from repro.devtools.findings import SEVERITY_WARNING, Finding
-from repro.devtools.hotspots import parse_kernel_contracts, reach_counts
+from repro.devtools.findings import Finding
 from repro.devtools.rules.base import ModuleContext, ProjectContext, Rule
 from repro.devtools.rules.registry import register
 
+#: Loose match first, strict parse second: a ``repro: kernel`` comment
+#: that does not carry well-formed ``scalar=``/``test=`` fields is
+#: malformed (R15 reports it), not an ignored comment.
+KERNEL_MARKER = re.compile(r"#\s*repro:\s*kernel\b(?P<rest>.*)$")
+KERNEL_CONTRACT = re.compile(
+    r"^\s+scalar=(?P<scalar>[\w.]+:[\w.]+)\s+test=(?P<test>\S+)\s*$")
 
-@register
-class VectorizationAntipattern(Rule):
-    """Hot loops that resist batching must be visible (and justified)."""
 
-    name = "vectorization-antipattern"
-    description = ("hot loops (reachable from a BENCH entry point) in "
-                   "sim/core/phy that are serially dependent or hit a "
-                   "numpy antipattern are flagged as warnings; each "
-                   "instance is either vectorized or carries an explicit "
-                   "allow-comment rationale")
+def parse_kernel_contracts(source: str) -> tuple[
+        dict[int, tuple[str, str]], list[tuple[int, str]]]:
+    """``# repro: kernel`` registrations in one module's source.
 
-    def check_project(self, project: ProjectContext,
-                      config: LintConfig) -> Iterable[Finding]:
-        index = project.index
-        if index is None:
-            return
-        reach = reach_counts(index, config)
-        for module, info in index.all_functions():
-            if not any(path_has_dir(module.relpath, directory)
-                       for directory in config.vectorization_dirs):
-                continue
-            path = f"{module.dotted}:{info.qualname}"
-            weight = reach.get(path, 0)
-            if weight == 0:
-                continue
-            for loop in info.loops:
-                notes = []
-                if loop.classification == CLASS_SERIAL:
-                    carried = ", ".join(f"`{name}`" for name in loop.carried)
-                    notes.append("is serially dependent"
-                                 + (f" (carried: {carried})" if carried
-                                    else ""))
-                if loop.antipatterns:
-                    notes.append("hits numpy antipatterns: "
-                                 + ", ".join(loop.antipatterns))
-                if not notes:
-                    continue
-                yield self.finding(
-                    module.relpath, loop.lineno,
-                    f"hot {loop.kind} loop in `{info.qualname}` (reached "
-                    f"from {weight} BENCH entry point"
-                    f"{'s' if weight != 1 else ''}) {'; '.join(notes)}; "
-                    "vectorize it or justify with an allow-comment",
-                    severity=SEVERITY_WARNING)
+    Returns ``(line -> (scalar, test), malformed)``.
+    """
+    contracts: dict[int, tuple[str, str]] = {}
+    malformed: list[tuple[int, str]] = []
+    for lineno, text in iter_comments(source):
+        marker = KERNEL_MARKER.search(text)
+        if marker is None:
+            continue
+        fields = KERNEL_CONTRACT.match(marker.group("rest"))
+        if fields is None:
+            malformed.append((lineno, marker.group("rest")))
+        else:
+            contracts[lineno] = (fields.group("scalar"),
+                                 fields.group("test"))
+    return contracts, malformed
 
 
 @register

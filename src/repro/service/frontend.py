@@ -131,11 +131,12 @@ class ServiceFrontend:
                 break
             name, _, value = line.partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
+                # 1*DIGIT only: no sign, no underscores, no non-ASCII digits.
+                text = value.strip()
+                if not (text.isascii() and text.isdigit()):
                     return _http_response(
                         400, _error_body("bad Content-Length"))
+                content_length = int(text)
         if content_length > MAX_BODY_BYTES:
             return _http_response(413, _error_body("request body too large"))
         try:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from repro.experiments.result_cache import canonical_fingerprint
@@ -33,6 +34,8 @@ __all__ = [
 #: Fields a request dict may carry (everything else is rejected early).
 _REQUEST_FIELDS = ("n_tags", "zones", "seed", "runs", "lam", "overlap",
                    "max_phases", "engine", "precision", "channel")
+#: Fields whose ``null`` means "not set".
+_OPTIONAL_FIELDS = ("max_phases", "precision")
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,9 @@ class InventoryRequest:
             raise ValueError("max_phases must be >= 1 or null")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {', '.join(ENGINES)}")
-        if self.precision is not None and self.precision <= 0:
-            raise ValueError("precision must be > 0 or null")
+        if self.precision is not None and not (
+                math.isfinite(self.precision) and self.precision > 0):
+            raise ValueError("precision must be finite and > 0, or null")
 
     def key(self) -> str:
         """The request's content address (SHA-256 of its canonical form)."""
@@ -112,9 +116,18 @@ def request_from_dict(payload: dict) -> InventoryRequest:
             fields["channel"] = ChannelModel(**channel)
         except TypeError as error:
             raise ValueError(f"bad channel knobs: {error}") from None
-    for name in ("n_tags", "zones", "seed", "runs", "lam"):
-        if name in fields and not isinstance(fields[name], int):
-            raise ValueError(f"{name} must be an integer")
+    # ``bool`` subclasses ``int``, so JSON ``true`` would pass as 1.
+    for names, types, what in (
+            (("n_tags", "zones", "seed", "runs", "lam", "max_phases"),
+             int, "an integer"),
+            (("overlap", "precision"), (int, float), "a number")):
+        for name in names:
+            value = fields.get(name)
+            if name in _OPTIONAL_FIELDS and value is None:
+                continue
+            if name in fields and (not isinstance(value, types)
+                                   or isinstance(value, bool)):
+                raise ValueError(f"{name} must be {what}")
     try:
         return InventoryRequest(**fields)
     except TypeError as error:

@@ -54,17 +54,15 @@ def test_json_findings_carry_severity_and_state_fields(tree):
     assert payload["cache"] == {"hits": 0, "misses": 0}
 
 
-def test_json_analysis_block_tallies_loops_and_effects(tree):
+def test_json_analysis_block_tallies_effects(tree):
     report = _fixture_report(tree)
     payload = json.loads(render_json(report))
     analysis = payload["analysis"]
-    assert set(analysis) == {"loops", "effects"}
-    assert set(analysis["loops"]) == {"vectorizable", "reduction", "serial"}
+    assert set(analysis) == {"effects"}
     assert set(analysis["effects"]) == {"pure", "emits-events",
                                         "mutates-args", "mutates-global",
                                         "reads-rng"}
-    # The fixture's two tiny functions are loop-free and pure.
-    assert sum(analysis["loops"].values()) == 0
+    # The fixture's two tiny functions are pure.
     assert analysis["effects"]["pure"] == 2
 
 

@@ -1,114 +1,23 @@
-"""Rule tests for R13 (vectorization-antipattern), R14 (effect-contract)
-and R15 (kernel-equivalence)."""
+"""Rule tests for R14 (effect-contract) and R15 (kernel-equivalence),
+plus the kernel-coverage pin on the real tree."""
 
 from __future__ import annotations
 
+from pathlib import Path
 
-# ---------------------------------------------------------------------------
-# R13: vectorization-antipattern
+from repro.devtools.rules.vectorization import parse_kernel_contracts
 
-def _hot_serial_tree(tree):
-    """run_cell (a BENCH entry point) -> sim loop threading serial state."""
-    tree.write("repro/experiments/runner.py", """
-        from repro.sim.loops import spin
+REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
-        def run_cell():
-            return spin([1.0, 2.0])
-    """)
-    tree.write("repro/sim/loops.py", """
-        def spin(xs):
-            state = 0
-            for x in xs:
-                state = advance(state, x)
-            return state
-
-        def advance(state, x):
-            return state + x
-    """)
-
-
-def test_hot_serial_loop_is_flagged(tree):
-    _hot_serial_tree(tree)
-    findings = tree.rule_findings("vectorization-antipattern")
-    assert findings == ["repro/sim/loops.py:4 vectorization-antipattern"]
-
-
-def test_flag_is_a_warning_not_an_error(tree):
-    _hot_serial_tree(tree)
-    report = tree.lint("vectorization-antipattern")
-    assert report.ok
-    assert len(report.warnings) == 1
-
-
-def test_cold_serial_loop_is_not_flagged(tree):
-    tree.write("repro/sim/loops.py", """
-        def spin(xs):
-            state = 0
-            for x in xs:
-                state = advance(state, x)
-            return state
-
-        def advance(state, x):
-            return state + x
-    """)
-    assert tree.rule_findings("vectorization-antipattern") == []
-
-
-def test_hot_loop_outside_vectorization_dirs_is_not_flagged(tree):
-    tree.write("repro/experiments/runner.py", """
-        def run_cell():
-            state = 0
-            while True:
-                state = state or 1
-                if state:
-                    break
-            return state
-    """)
-    assert tree.rule_findings("vectorization-antipattern") == []
-
-
-def test_allow_comment_suppresses_the_warning(tree):
-    tree.write("repro/experiments/runner.py", """
-        from repro.sim.loops import spin
-
-        def run_cell():
-            return spin([1.0])
-    """)
-    tree.write("repro/sim/loops.py", """
-        def spin(xs):
-            state = 0
-            # repro: allow-vectorization-antipattern -- fixture rationale
-            for x in xs:
-                state = advance(state, x)
-            return state
-
-        def advance(state, x):
-            return state + x
-    """)
-    assert tree.rule_findings("vectorization-antipattern") == []
-
-
-def test_hot_vectorizable_loop_with_antipattern_is_flagged(tree):
-    tree.write("repro/experiments/runner.py", """
-        from repro.sim.loops import gather
-
-        def run_cell():
-            return gather([1.0])
-    """)
-    tree.write("repro/sim/loops.py", """
-        import numpy as np
-
-        def gather(xs):
-            acc = []
-            for x in xs:
-                acc.append(consume(x))
-            return np.asarray(acc)
-
-        def consume(x):
-            return x
-    """)
-    findings = tree.rule_findings("vectorization-antipattern")
-    assert findings == ["repro/sim/loops.py:6 vectorization-antipattern"]
+#: The scalar session loops the batched kernels replace.  Each must keep a
+#: ``# repro: kernel scalar=...`` registration (so R15 keeps its kernel
+#: pinned to it); dropping one means the loop runs un-kernelized unseen.
+KERNEL_COVERED_SCALARS = (
+    "repro.sim.base:run_many",
+    "repro.core.fcat:_FcatSession.run",
+    "repro.core.scat:Scat.read_all",
+    "repro.baselines.dfsa:Dfsa.read_all",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -260,3 +169,26 @@ def test_non_kernel_functions_are_left_alone(tree):
             return len(xs)
     """)
     assert tree.rule_findings("kernel-equivalence") == []
+
+
+def test_parse_kernel_contracts_round_trips():
+    source = (
+        "# repro: kernel scalar=repro.core.fcat:_FcatSession.run "
+        "test=tests/kernels/test_fcat_kernel.py\n"
+        "def batched(): ...\n"
+        "# repro: kernel scalar=broken\n")
+    contracts, malformed = parse_kernel_contracts(source)
+    assert contracts == {1: ("repro.core.fcat:_FcatSession.run",
+                             "tests/kernels/test_fcat_kernel.py")}
+    assert malformed == [(3, " scalar=broken")]
+
+
+def test_scalar_session_loops_stay_covered_by_registered_kernels():
+    registered: set[str] = set()
+    for path in sorted((REPO_SRC / "repro").rglob("*.py")):
+        contracts, _ = parse_kernel_contracts(
+            path.read_text(encoding="utf-8"))
+        registered.update(scalar for scalar, _test in contracts.values())
+    missing = [ref for ref in KERNEL_COVERED_SCALARS
+               if ref not in registered]
+    assert missing == [], f"no kernel registration covers {missing}"

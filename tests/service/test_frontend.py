@@ -65,6 +65,27 @@ def test_malformed_requests_get_400():
                                             {"n_tags": 10, "zones": 1})
         assert status == 400
         assert "seed" in json.loads(body)["error"]
+        # JSON booleans are not integers, and NaN is not a precision.
+        status, body = await post_inventory(host, port,
+                                            {**REQUEST, "n_tags": True})
+        assert status == 400
+        assert "n_tags" in json.loads(body)["error"]
+        status, body = await post_inventory(
+            host, port, {**REQUEST, "precision": float("nan")})
+        assert status == 400
+        assert "precision" in json.loads(body)["error"]
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write((f"POST /inventory HTTP/1.1\r\nHost: {host}\r\n"
+                      "Content-Length: -5\r\nConnection: close\r\n\r\n")
+                     .encode("ascii"))
+        await writer.drain()
+        response = await reader.read()
+        writer.close()
+        assert b" 400 " in response.split(b"\r\n", 1)[0]
+        assert b"bad Content-Length" in response
+        # None of the above disturbed the server.
+        status, _ = await post_inventory(host, port, REQUEST)
+        assert status == 200
     run(_with_frontend(scenario))
 
 

@@ -61,6 +61,9 @@ def test_minimal_request_uses_defaults():
     ({"n_tags": 0, "zones": 1, "seed": 0}, "n_tags"),
     ({"n_tags": 10, "zones": 1, "seed": 0, "lam": 1}, "lam"),
     ({"n_tags": 10, "zones": 1, "seed": 0, "engine": "quantum"}, "engine"),
+    ({"n_tags": True, "zones": 2, "seed": 1}, "n_tags must be an integer"),
+    ({"n_tags": 10, "zones": 1, "seed": 0, "precision": float("nan")},
+     "precision"),
 ])
 def test_junk_requests_rejected(payload, match):
     with pytest.raises(ValueError, match=match):
