@@ -37,7 +37,6 @@ from repro.devtools.index import (
 )
 from repro.devtools.intervals import interval_of_expr, provably_outside_unit
 from repro.devtools.reporters import render_json, render_text
-from repro.devtools.shapes import ShapeInfo, infer_expr, parse_shape_contracts
 from repro.devtools.rules import (
     ModuleContext,
     ProjectContext,
@@ -62,9 +61,6 @@ __all__ = [
     "global_access",
     "LintEngine",
     "parse_suppressions",
-    "ShapeInfo",
-    "infer_expr",
-    "parse_shape_contracts",
     "Finding",
     "LintReport",
     "FunctionInfo",

@@ -17,9 +17,12 @@ can only ever make a run faster, never wrong.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -33,7 +36,9 @@ from repro.devtools.index import ModuleIndex
 #: 4: loop-carried dependence summaries, local effect facts, argument
 #: roots and class bases joined the per-module index.
 #: 5: the loop-dependence summaries left the per-module index.
-CACHE_SCHEMA = 5
+#: 6: argument shapes and parameter/return shape contracts left the
+#: per-module index.
+CACHE_SCHEMA = 6
 
 DEFAULT_CACHE_NAME = ".repro-lint-cache.json"
 
@@ -71,6 +76,26 @@ def cache_signature(config_repr: str, rule_names: tuple[str, ...],
     payload = (f"{CACHE_SCHEMA}|{config_repr}|{','.join(rule_names)}"
                f"|{rules_digest}")
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` so that a reader sees old or new, whole.
+
+    The text goes to a temporary file in the same directory, which then
+    takes the old file's place in one ``os.replace``.  A write that fails
+    part-way leaves the previous file intact and removes the temporary
+    file; a killed process leaves at most a stray ``*.tmp`` beside it.
+    """
+    handle, temp = tempfile.mkstemp(dir=path.parent, prefix=path.name,
+                                    suffix=".tmp")
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8") as stream:
+            stream.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 @dataclass
@@ -155,6 +180,6 @@ class LintCache:
                         for relpath, entry in sorted(self._fresh.items())},
         }
         try:
-            self.path.write_text(json.dumps(payload), encoding="utf-8")
+            _write_atomically(self.path, json.dumps(payload))
         except OSError:
             pass  # a read-only checkout just runs cold every time

@@ -185,10 +185,6 @@ class LintConfig:
         "repro.obs.scope:_current",
     )
 
-    # --- R12: shape/dtype contracts ---------------------------------------
-    #: Directories whose array code is shape/dtype checked.
-    shape_dirs: tuple[str, ...] = ("phy", "core", "sim")
-
     # --- R15: kernel-equivalence registry ---------------------------------
     #: Name markers identifying vectorized kernels: a leading-underscore-
     #: free marker ending in ``_`` is a prefix, otherwise a suffix.

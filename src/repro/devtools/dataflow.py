@@ -1,10 +1,10 @@
 """Intraprocedural data-flow analysis: CFG, reaching defs, tag lattice.
 
 The R1--R9 families see *occurrences* -- a call here, a parameter there.
-The R10--R12 families need to know how values *flow*: which names hold a
+The R10--R11 families need to know how values *flow*: which names hold a
 Generator when a loop body draws from it, which module globals a
-worker-reachable function touches, which shape/dtype an array carries at a
-call site.  This module supplies the shared machinery:
+worker-reachable function touches.  This module supplies the shared
+machinery:
 
 * :func:`build_cfg` -- a statement-level control-flow graph per function
   (compound statements contribute their *header* -- test, iterator,

@@ -63,7 +63,6 @@ from repro.devtools.findings import Finding, LintReport
 from repro.devtools.index import ProjectIndex, build_module_index
 from repro.devtools.rules import ModuleContext, ProjectContext, Rule, \
     create_rules
-from repro.devtools.shapes import parse_shape_contracts
 
 _SUPPRESS = re.compile(r"#\s*repro:\s*allow-([a-z0-9_,\-]+)")
 
@@ -212,8 +211,7 @@ class LintEngine:
         entry = CacheEntry(
             digest=digest, findings=module_findings,
             suppressions=module.suppressions,
-            index=build_module_index(module.dotted_name, relpath, tree,
-                                     parse_shape_contracts(source)))
+            index=build_module_index(module.dotted_name, relpath, tree))
         if self.cache is not None:
             self.cache.store(relpath, entry)
         return module, entry, None
@@ -387,6 +385,5 @@ def _pass1_work(item: tuple[str, str, str, str, tuple[str, ...],
     entry = CacheEntry(
         digest=digest, findings=module_findings,
         suppressions=suppressions,
-        index=build_module_index(module.dotted_name, relpath, tree,
-                                 parse_shape_contracts(source)))
+        index=build_module_index(module.dotted_name, relpath, tree))
     return entry, None

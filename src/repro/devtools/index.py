@@ -27,7 +27,6 @@ from typing import Iterator, Sequence
 from repro.devtools.dataflow import DefUse, def_use_records, global_access
 from repro.devtools.effects import local_effects
 from repro.devtools.intervals import Interval, interval_of_expr
-from repro.devtools.shapes import ShapeInfo, infer_expr
 from repro.devtools.units import (
     HARD_KINDS,
     KIND_DIMENSIONLESS,
@@ -144,8 +143,6 @@ class ArgInfo:
 
     kind: str | None = None
     interval: Interval | None = None
-    #: Shape/dtype when the argument is a provably-typed array expression.
-    shape: ShapeInfo | None = None
     #: Leftmost name of the argument expression (``cfg`` for ``cfg.slots``);
     #: the effect analysis uses it to track which objects escape to callees.
     root: str | None = None
@@ -153,16 +150,13 @@ class ArgInfo:
     def to_dict(self) -> dict:
         return {"kind": self.kind,
                 "interval": list(self.interval) if self.interval else None,
-                "shape": self.shape.to_dict() if self.shape else None,
                 "root": self.root}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArgInfo":
         interval = data.get("interval")
-        shape = data.get("shape")
         return cls(kind=data.get("kind"),
                    interval=tuple(interval) if interval else None,
-                   shape=ShapeInfo.from_dict(shape) if shape else None,
                    root=data.get("root"))
 
 
@@ -203,8 +197,6 @@ class ParamInfo:
     annotation: str | None = None
     has_default: bool = False
     default_interval: Interval | None = None
-    #: ``# repro: shape(...)`` contract on the parameter's own line.
-    shape_contract: ShapeInfo | None = None
 
     def to_dict(self) -> dict:
         return {"name": self.name, "kind": self.kind,
@@ -212,21 +204,16 @@ class ParamInfo:
                 "annotation": self.annotation,
                 "has_default": self.has_default,
                 "default_interval": (list(self.default_interval)
-                                     if self.default_interval else None),
-                "shape_contract": (self.shape_contract.to_dict()
-                                   if self.shape_contract else None)}
+                                     if self.default_interval else None)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParamInfo":
         interval = data.get("default_interval")
-        contract = data.get("shape_contract")
         return cls(name=data["name"], kind=data["kind"],
                    probability=data["probability"], kwonly=data["kwonly"],
                    annotation=data.get("annotation"),
                    has_default=data["has_default"],
-                   default_interval=tuple(interval) if interval else None,
-                   shape_contract=(ShapeInfo.from_dict(contract)
-                                   if contract else None))
+                   default_interval=tuple(interval) if interval else None)
 
 
 @dataclass
@@ -249,8 +236,6 @@ class FunctionInfo:
     #: Module-global writes ``(name, line, how)``; ``how`` is one of
     #: ``rebind``/``mutate``/``store`` (see dataflow.global_access).
     global_writes: list[tuple[str, int, str]] = field(default_factory=list)
-    #: ``# repro: shape(...)`` contract on the ``def`` line = return value.
-    return_contract: ShapeInfo | None = None
     #: Locally-evident effects (effects.py); closed over the call graph
     #: by EffectAnalysis in pass 2.
     effects_local: tuple[str, ...] = ()
@@ -284,13 +269,10 @@ class FunctionInfo:
                 "global_reads": [list(read) for read in self.global_reads],
                 "global_writes": [list(write)
                                   for write in self.global_writes],
-                "return_contract": (self.return_contract.to_dict()
-                                    if self.return_contract else None),
                 "effects_local": list(self.effects_local)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FunctionInfo":
-        contract = data.get("return_contract")
         return cls(qualname=data["qualname"], lineno=data["lineno"],
                    params=[ParamInfo.from_dict(p) for p in data["params"]],
                    calls=[CallInfo.from_dict(c) for c in data["calls"]],
@@ -305,8 +287,6 @@ class FunctionInfo:
                                  for read in data.get("global_reads", [])],
                    global_writes=[(w[0], w[1], w[2])
                                   for w in data.get("global_writes", [])],
-                   return_contract=(ShapeInfo.from_dict(contract)
-                                    if contract else None),
                    effects_local=tuple(data.get("effects_local", [])))
 
 
@@ -399,25 +379,17 @@ _HANDLE_CTORS = {"open", "Lock", "RLock", "Semaphore", "BoundedSemaphore",
 
 
 class _ModuleIndexer:
-    def __init__(self, dotted: str, relpath: str,
-                 contracts: dict[int, ShapeInfo] | None = None) -> None:
+    def __init__(self, dotted: str, relpath: str) -> None:
         self.index = ModuleIndex(dotted=dotted, relpath=relpath)
         self.constants: dict[str, Interval] = {}
-        self.contracts = contracts or {}
         self.module_globals: set[str] = set()
-        self.numpy_names: frozenset[str] = frozenset(("np", "numpy"))
 
     # -- entry -------------------------------------------------------------
 
     def _prescan_globals(self, tree: ast.Module) -> None:
         """Module-scope assigned names plus the handle-valued subset."""
         handles: list[str] = []
-        numpy_locals = {"np", "numpy"}
         for node in tree.body:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numpy":
-                        numpy_locals.add(alias.asname or "numpy")
             targets: list[ast.expr] = []
             if isinstance(node, ast.Assign):
                 targets = node.targets
@@ -435,7 +407,6 @@ class _ModuleIndexer:
                     handles.extend(names)
         self.index.global_names = tuple(sorted(self.module_globals))
         self.index.handle_globals = tuple(sorted(set(handles)))
-        self.numpy_names = frozenset(numpy_locals)
 
     def build(self, tree: ast.Module) -> ModuleIndex:
         self._prescan_globals(tree)
@@ -527,12 +498,10 @@ class _ModuleIndexer:
                     and param is positional[0]:
                 continue
             params.append(self._param_info(qualname, param, default,
-                                           kwonly=False,
-                                           def_lineno=node.lineno))
+                                           kwonly=False))
         for param, default in zip(args.kwonlyargs, args.kw_defaults):
             params.append(self._param_info(qualname, param, default,
-                                           kwonly=True,
-                                           def_lineno=node.lineno))
+                                           kwonly=True))
         reads, writes = global_access(node, self.module_globals)
         info = FunctionInfo(
             qualname=qualname, lineno=node.lineno, params=params,
@@ -544,20 +513,16 @@ class _ModuleIndexer:
                 f"{self.index.dotted}.{qualname}"),
             def_uses=def_use_records(node),
             global_reads=reads, global_writes=writes,
-            return_contract=self.contracts.get(node.lineno),
             effects_local=tuple(sorted(
                 local_effects(node, self.module_globals))))
         param_kinds = {p.name: p.kind for p in params}
         local_env = self._local_env(node)
-        shape_env = self._shape_env(node, params)
         for statement in node.body:
-            self._collect_calls(statement, info, param_kinds, local_env,
-                                shape_env)
+            self._collect_calls(statement, info, param_kinds, local_env)
         self.index.functions[qualname] = info
 
     def _param_info(self, qualname: str, param: ast.arg,
-                    default: ast.expr | None, kwonly: bool,
-                    def_lineno: int = -1) -> ParamInfo:
+                    default: ast.expr | None, kwonly: bool) -> ParamInfo:
         qualified = f"{self.index.dotted}.{qualname}.{param.arg}"
         return ParamInfo(
             name=param.arg, kind=kind_of_qualified(qualified),
@@ -566,42 +531,7 @@ class _ModuleIndexer:
             annotation=_annotation_str(param.annotation),
             has_default=default is not None,
             default_interval=(interval_of_expr(default, self.constants)
-                              if default is not None else None),
-            # A contract on the ``def`` line is the *return* contract; a
-            # parameter only owns one when signatures span lines.
-            shape_contract=(self.contracts.get(param.lineno)
-                            if param.lineno != def_lineno else None))
-
-    def _shape_env(self, node: ast.FunctionDef | ast.AsyncFunctionDef,
-                   params: list[ParamInfo]) -> dict[str, ShapeInfo]:
-        """Shapes of contracted params and single-assignment locals."""
-        env: dict[str, ShapeInfo] = {
-            param.name: param.shape_contract for param in params
-            if param.shape_contract is not None}
-        counts: dict[str, int] = {}
-        for statement in ast.walk(node):
-            if isinstance(statement, (ast.Assign, ast.AugAssign,
-                                      ast.AnnAssign)):
-                targets = statement.targets \
-                    if isinstance(statement, ast.Assign) \
-                    else [statement.target]
-                for target in targets:
-                    for name_node in ast.walk(target):
-                        if isinstance(name_node, ast.Name):
-                            counts[name_node.id] = \
-                                counts.get(name_node.id, 0) + 1
-        for statement in ast.walk(node):
-            if isinstance(statement, ast.Assign) \
-                    and len(statement.targets) == 1 \
-                    and isinstance(statement.targets[0], ast.Name) \
-                    and counts.get(statement.targets[0].id) == 1:
-                name = statement.targets[0].id
-                declared = self.contracts.get(statement.lineno)
-                inferred = declared if declared is not None else infer_expr(
-                    statement.value, env, self.numpy_names)
-                if inferred is not None:
-                    env[name] = inferred
-        return env
+                              if default is not None else None))
 
     def _local_env(self, node: ast.FunctionDef | ast.AsyncFunctionDef
                    ) -> dict[str, Interval]:
@@ -633,10 +563,7 @@ class _ModuleIndexer:
 
     def _collect_calls(self, node: ast.AST, into: FunctionInfo,
                        param_kinds: dict[str, str | None],
-                       env: dict[str, Interval],
-                       shape_env: dict[str, ShapeInfo] | None = None
-                       ) -> None:
-        shape_env = shape_env if shape_env is not None else {}
+                       env: dict[str, Interval]) -> None:
         for call in ast.walk(node):
             if not isinstance(call, ast.Call):
                 continue
@@ -658,7 +585,6 @@ class _ModuleIndexer:
                 info.args.append(ArgInfo(
                     kind=kind_of_expr(arg, param_kinds),
                     interval=interval_of_expr(arg, env),
-                    shape=infer_expr(arg, shape_env, self.numpy_names),
                     root=_arg_root(arg)))
             for keyword in call.keywords:
                 if keyword.arg is None:
@@ -667,8 +593,6 @@ class _ModuleIndexer:
                 info.kwargs[keyword.arg] = ArgInfo(
                     kind=kind_of_expr(keyword.value, param_kinds),
                     interval=interval_of_expr(keyword.value, env),
-                    shape=infer_expr(keyword.value, shape_env,
-                                     self.numpy_names),
                     root=_arg_root(keyword.value))
             into.calls.append(info)
 
@@ -680,11 +604,10 @@ def _arg_root(node: ast.expr) -> str | None:
     return node.id if isinstance(node, ast.Name) else None
 
 
-def build_module_index(dotted: str, relpath: str, tree: ast.Module,
-                       contracts: dict[int, ShapeInfo] | None = None
-                       ) -> ModuleIndex:
+def build_module_index(dotted: str, relpath: str,
+                       tree: ast.Module) -> ModuleIndex:
     """Index one parsed module (pass 1 unit of work; cacheable)."""
-    return _ModuleIndexer(dotted, relpath, contracts).build(tree)
+    return _ModuleIndexer(dotted, relpath).build(tree)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ R1--R4 are the per-file/per-project families from the first devtools
 iteration; R5--R8 (units, probability domain, rng reachability, experiment
 registry) are the whole-program families that run over the pass-1 index;
 R9 (event-schema) pins observability emit sites to the declared schema;
-R10--R12 (rng order-sensitivity, fork-safety, shape/dtype contracts) are
-the data-flow families built on :mod:`repro.devtools.dataflow` and
-:mod:`repro.devtools.shapes`; R14--R15 (effect contracts, kernel
-equivalence) are the vectorization-readiness families built on
+R10--R11 (rng order-sensitivity, fork-safety) are the data-flow families
+built on :mod:`repro.devtools.dataflow`; R14--R15 (effect contracts,
+kernel equivalence) are the vectorization-readiness families built on
 :mod:`repro.devtools.effects`.
 """
 
@@ -35,7 +34,6 @@ from repro.devtools.rules import observability as _observability
 from repro.devtools.rules import probability as _probability
 from repro.devtools.rules import protocol as _protocol
 from repro.devtools.rules import reachability as _reachability
-from repro.devtools.rules import shapes as _shapes
 from repro.devtools.rules import units as _units
 from repro.devtools.rules import vectorization as _vectorization
 

@@ -29,9 +29,12 @@ run ``i``'s metrics are a pure function of the cell config and the ``i``-th
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +185,26 @@ def _range_to_label(span: tuple[int, int]) -> str:
 def _range_from_label(label: str) -> tuple[int, int]:
     start, stop = label.split("-")
     return int(start), int(stop)
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` so that a reader sees old or new, whole.
+
+    The text goes to a temporary file in the same directory, which then
+    takes the old file's place in one ``os.replace``.  A write that fails
+    part-way leaves the previous file intact and removes the temporary
+    file; a killed process leaves at most a stray ``*.tmp`` beside it.
+    """
+    handle, temp = tempfile.mkstemp(dir=path.parent, prefix=path.name,
+                                    suffix=".tmp")
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8") as stream:
+            stream.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 def _result_to_dict(result: AggregateResult) -> dict:
@@ -356,7 +379,7 @@ class ResultCache:
                      for key, spans in sorted(self._runs.items())},
         }
         try:
-            self.path.write_text(json.dumps(payload), encoding="utf-8")
+            _write_atomically(self.path, json.dumps(payload))
             self._dirty = False
         except OSError:
             pass  # a read-only checkout just runs cold every time

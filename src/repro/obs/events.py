@@ -18,7 +18,7 @@ chunk order, so a serial run and a parallel run produce the same ordering.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -48,15 +48,17 @@ class EventSpec:
     """Declared shape of one event: ``((field, kind), ...)``."""
 
     fields: tuple[tuple[str, str], ...]
+    #: The declared field names, computed once: validation runs on every
+    #: emit, so it compares against this set instead of re-deriving it.
+    field_names: frozenset[str] = field(init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self) -> None:
         for name, kind in self.fields:
             if kind not in _KINDS:
                 raise ValueError(f"unknown field kind {kind!r} for {name!r}")
-
-    @property
-    def field_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.fields)
+        object.__setattr__(self, "field_names",
+                           frozenset(name for name, _ in self.fields))
 
 
 def _spec(**fields: str) -> EventSpec:
@@ -131,9 +133,9 @@ def validate_event(name: str, fields: dict) -> None:
     if spec is None:
         raise ValueError(f"undeclared event {name!r}; add it to EVENT_SCHEMA")
     declared = spec.field_names
-    if tuple(sorted(fields)) != tuple(sorted(declared)):
-        missing = set(declared) - set(fields)
-        extra = set(fields) - set(declared)
+    if declared != fields.keys():
+        missing = declared - fields.keys()
+        extra = fields.keys() - declared
         raise ValueError(
             f"event {name!r} fields mismatch: missing {sorted(missing)}, "
             f"unexpected {sorted(extra)}")
@@ -175,9 +177,12 @@ class EventStream:
         return event
 
     def extend(self, events: Iterable[Event]) -> None:
-        """Fold another stream's events in, re-sequencing as they land."""
+        """Fold another stream's events in, re-sequencing as they land.
+
+        No re-validation: every :class:`Event` comes from :meth:`emit` or
+        :func:`read_jsonl`, and both validate it on the way in.
+        """
         for event in events:
-            validate_event(event.name, event.fields)
             self._events.append(Event(seq=len(self._events),
                                       name=event.name, fields=event.fields))
 

@@ -81,6 +81,18 @@ class TestCacheInvalidation:
         # And the corrupt file was replaced with a loadable one.
         assert json.loads((tmp_path / "cache.json").read_text())
 
+    def test_failed_save_keeps_the_previous_entries(self, tree, tmp_path,
+                                                    disk_full):
+        tree.write("repro/core/a.py", BAD)
+        _engine(tmp_path).lint_paths([tree.root])
+        tree.write("repro/core/b.py", "X = 1\n")
+        with disk_full():
+            _engine(tmp_path).lint_paths([tree.root])
+        report = _engine(tmp_path).lint_paths([tree.root])
+        assert (report.cache_hits, report.cache_misses) == (1, 1)
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == [
+            "cache.json", "src"]
+
     def test_no_cache_path_means_no_accounting(self, tree):
         tree.write("repro/core/a.py", BAD)
         report = LintEngine(select=RULES).lint_paths([tree.root])

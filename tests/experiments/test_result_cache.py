@@ -101,6 +101,21 @@ class TestResultCacheRoundTrip:
         # and the save overwrote the corrupt file with a valid one
         assert len(ResultCache(path)) == 1
 
+    def test_failed_save_keeps_the_previous_entries(self, tmp_path,
+                                                    disk_full):
+        path = tmp_path / "cache.json"
+        kept = run_cell(Dfsa(), n_tags=50, runs=2, seed=3,
+                        cache=ResultCache(path))
+        with disk_full():
+            run_cell(Dfsa(), n_tags=60, runs=2, seed=3,
+                     cache=ResultCache(path))
+        reloaded = ResultCache(path)
+        assert len(reloaded) == 1
+        assert run_cell(Dfsa(), n_tags=50, runs=2, seed=3,
+                        cache=reloaded) == kept
+        assert reloaded.hits == 1
+        assert [entry.name for entry in tmp_path.iterdir()] == ["cache.json"]
+
     def test_save_without_stores_is_a_noop(self, tmp_path):
         path = tmp_path / "cache.json"
         ResultCache(path).save()
