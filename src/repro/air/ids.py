@@ -72,6 +72,24 @@ def verify_tag_id(tag_id: int) -> bool:
     return verify_crc_bits(id_to_bits(tag_id))
 
 
+def _sorted_unique_rows(rows: np.ndarray) -> np.ndarray:
+    """``np.unique(rows, axis=0)`` for ``(n, 10)`` uint8 payload rows.
+
+    ``np.unique`` sorts the rows as 10-byte records, several times slower
+    than sorting integers.  Bytes 0-7 and 8-9 read as big-endian integers
+    order the rows the same way (lexicographically by unsigned byte), so
+    one ``lexsort`` on those two keys plus an adjacent-duplicate mask gives
+    the same array.
+    """
+    head = np.ascontiguousarray(rows[:, :8]).view(">u8").ravel()
+    tail = np.ascontiguousarray(rows[:, 8:]).view(">u2").ravel()
+    order = np.lexsort((tail, head))
+    head, tail, rows = head[order], tail[order], rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (head[1:] != head[:-1]) | (tail[1:] != tail[:-1])
+    return rows[first]
+
+
 def generate_tag_ids(count: int, rng: np.random.Generator) -> list[int]:
     """Generate ``count`` distinct valid 96-bit tag IDs.
 
@@ -88,12 +106,15 @@ def generate_tag_ids(count: int, rng: np.random.Generator) -> list[int]:
     while rows.shape[0] < count:
         need = count - rows.shape[0]
         fresh = rng.integers(0, 256, size=(need, payload_bytes), dtype=np.uint8)
-        rows = np.unique(np.concatenate([rows, fresh]), axis=0)
+        rows = _sorted_unique_rows(np.concatenate([rows, fresh]))
     crcs = crc16_bytes_many(rows)
     frames = np.concatenate(
         [rows, (crcs >> 8).astype(np.uint8)[:, None],
          (crcs & 0xFF).astype(np.uint8)[:, None]], axis=1)
-    return [int.from_bytes(row.tobytes(), "big") for row in frames]
+    width = frames.shape[1]
+    raw = frames.tobytes()
+    return [int.from_bytes(raw[start:start + width], "big")
+            for start in range(0, len(raw), width)]
 
 
 def crc_of_payload(payload: int) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.air.ids import ID_BITS, id_to_bits
+from repro.air.ids import ID_BITS
 from repro.air.timing import ICODE_TIMING, TimingModel
 from repro.baselines.splitting import id_bit_splitter, run_splitting_tree
 from repro.sim.base import TagReadingProtocol
@@ -20,10 +20,15 @@ from repro.sim.result import ReadingResult
 
 
 def population_bit_matrix(population: TagPopulation) -> np.ndarray:
-    """The ``(n_tags, 96)`` MSB-first bit matrix of a population's IDs."""
-    if len(population) == 0:
-        return np.zeros((0, ID_BITS), dtype=np.uint8)
-    return np.stack([id_to_bits(tag) for tag in population.ids])
+    """The ``(n_tags, 96)`` MSB-first bit matrix of a population's IDs.
+
+    Row ``i`` equals ``id_to_bits(population.ids[i])``; the rows come from
+    one ``unpackbits`` over the IDs' joined big-endian bytes.
+    """
+    width = ID_BITS // 8
+    raw = b"".join(tag.to_bytes(width, "big") for tag in population.ids)
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).reshape(
+        -1, ID_BITS)
 
 
 class QueryTree(TagReadingProtocol):

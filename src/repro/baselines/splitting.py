@@ -33,6 +33,18 @@ def random_bit_splitter(rng: np.random.Generator) -> Splitter:
     """Each colliding tag draws a fresh random bit (binary-tree protocols)."""
 
     def split(members: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        if members.size == 2:
+            # The most common split.  Two scalar draws consume the stream
+            # exactly like one ``size=2`` draw (each bounded integer is
+            # its own ``next_uint32``) and cost less than the array call
+            # plus two boolean masks.
+            first = rng.integers(0, 2)
+            second = rng.integers(0, 2)
+            if first == second:
+                nobody = members[:0]
+                return (members, nobody) if first == 0 else (nobody, members)
+            head, tail = members[:1], members[1:]
+            return (head, tail) if first == 0 else (tail, head)
         bits = rng.integers(0, 2, size=members.size)
         return members[bits == 0], members[bits == 1]
 

@@ -23,7 +23,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class CollisionRecord:
     """One recorded collision slot (mixed signal + slot index)."""
 
@@ -91,24 +91,24 @@ class RecordStore:
         record may be resolvable on the spot; any IDs recovered that way (and
         transitively through the cascade) are returned alongside the record.
         """
-        record = CollisionRecord(slot_index=slot_index,
-                                 participants=frozenset(participants),
-                                 usable=usable)
-        if record.k < 2:
+        members = frozenset(participants)
+        if len(members) < 2:
             raise ValueError("a collision record needs at least 2 participants")
-        if not usable or record.k > self.lam:
+        if not usable or len(members) > self.lam:
             # The ANC step can never succeed on this record (noise, or more
             # constituents than the decoder handles): the residual CRC will
             # reject every attempt.  A real reader would keep the signal and
             # burn cycles on it; the simulation retires it at creation, which
             # is observationally identical and keeps the per-tag index small
             # (a p=1 termination probe can record thousands of participants).
-            record.retired = True
+            record = CollisionRecord(slot_index, members, usable,
+                                     retired=True)
             self._records.append(record)
             return record, []
         # Constituents already known (e.g. a tag that missed its ack and
         # collided again) are credited immediately.
-        record.known = set(record.participants & self._learned)
+        known = set(members & self._learned)
+        record = CollisionRecord(slot_index, members, usable, known)
         self._records.append(record)
         # Indexing a record under each unknown tag mutates shared dicts:
         # per-record bookkeeping, not a numeric loop.

@@ -19,6 +19,7 @@ every tag has been read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -133,6 +134,9 @@ class _FcatSession:
         self.config = config
         self.rng = rng
         self.channel = channel
+        #: Read once: on a channel that never loses an ack, acknowledging
+        #: a tag is a plain removal with no draw.
+        self.acks_always_received = channel.ack_always_received
         self.omega = config.effective_omega
         self.active = ActiveSet(population.ids)
         self.store = RecordStore(config.lam, zigzag=config.zigzag)
@@ -179,40 +183,74 @@ class _FcatSession:
     # -- frame mechanics ---------------------------------------------------
 
     def _run_frame(self) -> int:
-        """Run one frame; returns the number of empty slots observed."""
-        identified_at_start = self.store.learned_count
+        """Run one frame; returns the number of empty slots observed.
+
+        The slot body handles the two cheap outcomes itself: an empty slot
+        costs one binomial draw and nothing else, and a singleton on a
+        channel that never corrupts one costs one more draw (which tag).
+        Every other slot goes through :meth:`_observe`, the one slot
+        classifier.  The draws, and their order, are exactly those of
+        ``sample_binomial`` followed by ``_observe`` for every slot.
+        """
+        config = self.config
+        result = self.result
+        store = self.store
+        active = self.active
+        rng = self.rng
+        binomial = rng.binomial
+        trace = self.trace
+        identified_at_start = store.learned_count
         remaining = self.estimator.remaining()
-        p = min(self.omega / remaining, self.config.max_report_probability)
-        self.result.advertisements += 1  # pre-frame advertisement
-        self.result.frames += 1
-        abort_after = self.config.bootstrap_abort_after
+        p = min(self.omega / remaining, config.max_report_probability)
+        result.advertisements += 1  # pre-frame advertisement
+        result.frames += 1
+        abort_after = config.bootstrap_abort_after
         bootstrapping = abort_after is not None and not self.estimator.samples
+        clean_singletons = self.channel.singleton_always_ok
+        first_slot = self.slot_index
         n_collision = n_empty = slots_run = 0
-        for _ in range(self.config.frame_size):
-            slot = self._next_slot()
-            transmitters = self.active.sample_binomial(p, self.rng)
-            outcome = self._observe(slot, transmitters)
-            self._trace_slot(slot, outcome, p)
+        aborted = False
+        for slot in range(first_slot, first_slot + config.frame_size):
+            if slot >= self.max_slots:
+                self._slot_budget_spent()
             slots_run += 1
-            if outcome == "empty":
+            n_active = len(active)
+            k = int(binomial(n_active, p)) if n_active else 0
+            if k == 0:
                 n_empty += 1
-            elif outcome == "collision":
+                if trace is not None:
+                    self._learned_this_slot = []
+                    self._trace_slot(slot, "empty", p)
+                continue
+            if k == 1 and clean_singletons:
+                result.tag_transmissions += 1
+                self._learned_this_slot = []
+                self._handle_singleton(active.sample(1, rng)[0])
+                outcome = "singleton"
+            else:
+                outcome = self._observe(slot, active.sample(k, rng))
+            if trace is not None:
+                self._trace_slot(slot, outcome, p)
+            if outcome == "collision":
                 n_collision += 1
-            if bootstrapping and n_collision == slots_run \
-                    and n_collision >= abort_after:
-                # Still blind and the frame is wall-to-wall collisions: cut
-                # it short, double the estimate, and re-advertise.
-                self.estimator.update(self.config.frame_size, p,
-                                      identified_at_start,
-                                      self.store.learned_count, n_empty=0)
-                self._observe_frame(p, slots_run, n_empty, n_collision)
-                return n_empty
-        self.estimator.update(n_collision, p, identified_at_start,
-                              self.store.learned_count, n_empty=n_empty)
-        self.result.estimate_trace.append(self.estimator.remaining())
-        if self.trace is not None:
-            self.trace.record_estimate(self.result.frames - 1,
-                                       self.estimator.remaining())
+                if bootstrapping and n_collision == slots_run \
+                        and n_collision >= abort_after:
+                    # Still blind and the frame is wall-to-wall collisions:
+                    # cut it short, double the estimate, and re-advertise.
+                    aborted = True
+                    break
+        self.slot_index = first_slot + slots_run
+        result.empty_slots += n_empty
+        if aborted:
+            self.estimator.update(config.frame_size, p, identified_at_start,
+                                  store.learned_count, n_empty=0)
+        else:
+            self.estimator.update(n_collision, p, identified_at_start,
+                                  store.learned_count, n_empty=n_empty)
+            result.estimate_trace.append(self.estimator.remaining())
+            if trace is not None:
+                trace.record_estimate(result.frames - 1,
+                                      self.estimator.remaining())
         self._observe_frame(p, slots_run, n_empty, n_collision)
         return n_empty
 
@@ -243,11 +281,14 @@ class _FcatSession:
         obs.observe_value("estimator.rel_error",
                           abs(estimate - actual) / max(actual, 1))
 
+    def _slot_budget_spent(self) -> NoReturn:
+        raise RuntimeError(
+            f"FCAT session exceeded {self.max_slots} slots -- "
+            "estimator or termination logic is stuck")
+
     def _next_slot(self) -> int:
         if self.slot_index >= self.max_slots:
-            raise RuntimeError(
-                f"FCAT session exceeded {self.max_slots} slots -- "
-                "estimator or termination logic is stuck")
+            self._slot_budget_spent()
         slot = self.slot_index
         self.slot_index += 1
         return slot
@@ -274,7 +315,8 @@ class _FcatSession:
             if len(rest) >= 2:
                 usable = self.channel.record_usable(self.rng)
                 _, resolved = self.store.add_record(slot, rest, usable)
-                self._apply_resolutions(resolved)
+                if resolved:
+                    self._apply_resolutions(resolved)
             elif self.channel.record_usable(self.rng) \
                     and not self.store.is_learned(rest[0]):
                 # One constituent left in the residual: it decodes outright,
@@ -286,7 +328,8 @@ class _FcatSession:
         if k >= 2:
             usable = self.channel.record_usable(self.rng)
             _, resolved = self.store.add_record(slot, transmitters, usable)
-            self._apply_resolutions(resolved)
+            if resolved:
+                self._apply_resolutions(resolved)
         # k == 1 but corrupted: the CRC fails, the reader keeps an opaque
         # record it can never verify; it still counts as a collision slot.
         return "collision"
@@ -306,12 +349,14 @@ class _FcatSession:
 
     def _handle_singleton(self, tag: int) -> None:
         self.result.singleton_slots += 1
+        resolved = None
         if not self.store.is_learned(tag):
             self.result.n_read += 1
             self._learned_this_slot.append(tag)
-        resolved = self.store.learn(tag)
+            resolved = self.store.learn(tag)
         self._ack(tag)  # positive acknowledgement in this slot's ack segment
-        self._apply_resolutions(resolved)
+        if resolved:
+            self._apply_resolutions(resolved)
 
     def _apply_resolutions(self, resolved: list[tuple[int, int]]) -> None:
         """Account for IDs recovered from collision records.
@@ -328,7 +373,7 @@ class _FcatSession:
             self._ack(tag)
 
     def _ack(self, tag: int) -> None:
-        if self.channel.ack_received(self.rng):
+        if self.acks_always_received or self.channel.ack_received(self.rng):
             self.active.discard(tag)
 
     # -- termination -------------------------------------------------------

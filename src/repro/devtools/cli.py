@@ -127,7 +127,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if options.format == "json":
         print(render_json(report))
     else:
-        print(render_text(report, show_suppressed=options.show_suppressed))
+        print(render_text(report, show_suppressed=options.show_suppressed,
+                          advisory=options.warn_only))
     if options.warn_only:
         return 0
     return 0 if report.ok else 1

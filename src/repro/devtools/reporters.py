@@ -7,8 +7,14 @@ import json
 from repro.devtools.findings import LintReport
 
 
-def render_text(report: LintReport, *, show_suppressed: bool = False) -> str:
-    """One finding per line plus a one-line summary, flake8-style."""
+def render_text(report: LintReport, *, show_suppressed: bool = False,
+                advisory: bool = False) -> str:
+    """One finding per line plus a one-line summary, flake8-style.
+
+    ``advisory`` is for ``--warn-only`` runs, which exit 0 whatever they
+    find: the summary then counts the would-be blocking findings as
+    advisory instead of calling them blocking.
+    """
     lines = [finding.render() for finding in report.unsuppressed]
     if show_suppressed:
         lines.extend(finding.render() for finding in report.suppressed)
@@ -16,8 +22,8 @@ def render_text(report: LintReport, *, show_suppressed: bool = False) -> str:
     n_warn = len(report.warnings)
     n_base = len(report.baselined)
     n_ok = len(report.suppressed)
-    summary = (f"{n_blocking} blocking finding"
-               f"{'s' if n_blocking != 1 else ''}"
+    summary = (f"{n_blocking} {'advisory' if advisory else 'blocking'}"
+               f" finding{'s' if n_blocking != 1 else ''}"
                f" ({n_warn} warnings, {n_base} baselined, {n_ok} suppressed)"
                f" in {report.modules_checked} modules")
     if report.cache_hits or report.cache_misses:

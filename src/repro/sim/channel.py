@@ -49,6 +49,16 @@ class ChannelModel:
         _check_probability("collision_unusable_prob", self.collision_unusable_prob)
         _check_probability("capture_prob", self.capture_prob)
 
+    @property
+    def singleton_always_ok(self) -> bool:
+        """Whether :meth:`singleton_ok` is always True (and never draws)."""
+        return self.singleton_corrupt_prob == 0.0
+
+    @property
+    def ack_always_received(self) -> bool:
+        """Whether :meth:`ack_received` is always True (and never draws)."""
+        return self.ack_loss_prob == 0.0
+
     def singleton_ok(self, rng: np.random.Generator) -> bool:
         """Draw whether a singleton transmission decodes (CRC passes)."""
         if self.singleton_corrupt_prob == 0.0:

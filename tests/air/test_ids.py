@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.air.crc import crc16_bytes_many
 from repro.air.ids import (
     ID_BITS,
     PAYLOAD_BITS,
+    _sorted_unique_rows,
     bits_to_int,
     crc_of_payload,
     generate_tag_ids,
@@ -103,6 +105,33 @@ class TestGeneration:
     def test_negative_count_rejected(self, rng):
         with pytest.raises(ValueError):
             generate_tag_ids(-1, rng)
+
+    def test_matches_one_int_from_bytes_per_row(self):
+        """The bulk byte conversion equals converting each row alone."""
+        count, width = 257, PAYLOAD_BITS // 8
+        ids = generate_tag_ids(count, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        rows = np.zeros((0, width), dtype=np.uint8)
+        while rows.shape[0] < count:
+            need = count - rows.shape[0]
+            fresh = rng.integers(0, 256, size=(need, width), dtype=np.uint8)
+            rows = np.unique(np.concatenate([rows, fresh]), axis=0)
+        crcs = crc16_bytes_many(rows)
+        frames = np.concatenate(
+            [rows, (crcs >> 8).astype(np.uint8)[:, None],
+             (crcs & 0xFF).astype(np.uint8)[:, None]], axis=1)
+        assert ids == [int.from_bytes(row.tobytes(), "big") for row in frames]
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 3000])
+    def test_sorted_unique_rows_matches_np_unique(self, count):
+        """Few distinct byte values: many duplicate and tied rows."""
+        rng = np.random.default_rng(count)
+        rows = rng.integers(0, 3, size=(count, PAYLOAD_BITS // 8),
+                            dtype=np.uint8)
+        rows[: count // 2, 8:] = rng.integers(0, 256, size=(count // 2, 2),
+                                              dtype=np.uint8)
+        assert np.array_equal(_sorted_unique_rows(rows),
+                              np.unique(rows, axis=0))
 
     def test_reproducible_per_seed(self):
         a = generate_tag_ids(50, np.random.default_rng(3))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.air.ids import ID_BITS, id_to_bits
 from repro.baselines.abs_protocol import AdaptiveBinarySplitting
 from repro.baselines.aqs import AdaptiveQuerySplitting
 from repro.baselines.binary_tree import BinaryTree
@@ -24,6 +25,31 @@ class TestSplitters:
         members = np.arange(100)
         left, right = splitter(members, 0)
         assert sorted(np.concatenate([left, right])) == list(range(100))
+
+    @pytest.mark.parametrize("size", [2, 3, 9])
+    def test_random_bit_splitter_matches_one_array_draw(self, size):
+        """Two scalar draws for a pair split exactly like the array draw."""
+        ours = np.random.default_rng(31)
+        reference = np.random.default_rng(31)
+        splitter = random_bit_splitter(ours)
+        members = np.arange(10, 10 + size)
+        for _ in range(64):
+            left, right = splitter(members, 0)
+            bits = reference.integers(0, 2, size=members.size)
+            assert left.tolist() == members[bits == 0].tolist()
+            assert right.tolist() == members[bits == 1].tolist()
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+    def test_population_bit_matrix_matches_id_to_bits(self, rng):
+        population = TagPopulation.random(300, rng)
+        bits = population_bit_matrix(population)
+        assert bits.shape == (300, ID_BITS) and bits.dtype == np.uint8
+        for row, tag in zip(bits, population.ids):
+            assert np.array_equal(row, id_to_bits(tag))
+
+    def test_population_bit_matrix_of_empty_population(self):
+        bits = population_bit_matrix(TagPopulation([]))
+        assert bits.shape == (0, ID_BITS) and bits.dtype == np.uint8
 
     def test_id_bit_splitter_partitions_by_bit(self, rng):
         population = TagPopulation.random(64, rng)

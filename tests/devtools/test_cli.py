@@ -31,6 +31,12 @@ def test_exit_one_on_findings(bad_tree, capsys):
     assert "float-equality" in out and "mutable-default" in out
 
 
+def test_warn_only_exits_zero_and_calls_findings_advisory(bad_tree, capsys):
+    assert main(["--warn-only", "--no-cache", str(bad_tree.root)]) == 0
+    out = capsys.readouterr().out
+    assert "2 advisory findings" in out and "blocking" not in out
+
+
 def test_json_format_is_parseable(bad_tree, capsys):
     assert main(["--format", "json", str(bad_tree.root)]) == 1
     payload = json.loads(capsys.readouterr().out)

@@ -84,6 +84,18 @@ def test_text_summary_counts_every_state():
     assert "[cache: 3 hits, 1 misses]" in text
 
 
+def test_warn_only_summary_says_advisory_not_blocking(tree):
+    """A ``--warn-only`` run exits 0, so its findings do not block."""
+    report = _fixture_report(tree)
+    text = render_text(report, advisory=True)
+    assert text.splitlines()[-1].startswith("2 advisory findings ")
+    assert "blocking" not in text
+    assert render_text(report).splitlines()[-1].startswith(
+        "2 blocking findings ")
+    # The JSON schema is not affected: counts keep their names.
+    assert json.loads(render_json(report))["counts"]["blocking"] == 2
+
+
 def test_text_marks_warning_and_baselined_findings():
     report = LintReport(findings=[
         Finding(path="a.py", line=2, rule="r", message="meh",

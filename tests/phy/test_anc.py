@@ -132,6 +132,24 @@ class TestLeastSquaresCancel:
         _, frames, _, mixed = _tag_waveforms(4, rng, snr_db=30)
         assert least_squares_cancel(mixed, frames[:2]) is None
 
+    def test_dominant_known_constituent_needs_double_precision(self, rng):
+        """Pins complex128 arithmetic on the mix.
+
+        The known tag arrives 10^9 times stronger (in amplitude) than the
+        unknown one.  In double precision the cancellation error is ~1e-7
+        of the weak signal; rounding the mix to complex64 (sample spacing
+        ~64 at that magnitude) buries it, and the CRC rejects the residual.
+        Single precision already fails from ~1e8 on.
+        """
+        ids = generate_tag_ids(2, rng)
+        frames = [id_to_bits(tag) for tag in ids]
+        strong = ChannelGain(1e9, 0.7).apply(msk_modulate(frames[0]))
+        weak = ChannelGain(1.0, 2.1).apply(msk_modulate(frames[1]))
+        recovered = least_squares_cancel(mix_signals([strong, weak]),
+                                         frames[:1])
+        assert recovered is not None
+        assert bits_to_int(recovered) == ids[1]
+
 
 class TestPhaseOffset:
     def test_recovers_known_rotation(self, rng):

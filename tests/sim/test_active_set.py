@@ -112,6 +112,77 @@ class TestSampling:
         assert positions == sorted(positions)
 
 
+def _reference_sample(items: list, k: int,
+                      rng: np.random.Generator) -> list:
+    """The sampler with one scalar ``integers`` draw per attempt."""
+    n = len(items)
+    if k == 0:
+        return []
+    if k == n:
+        return list(items)
+    if k > n // 2:
+        return [items[int(p)] for p in rng.permutation(n)[:k]]
+    chosen: set[int] = set()
+    while len(chosen) < k:
+        chosen.add(int(rng.integers(0, n)))
+    return [items[p] for p in sorted(chosen)]
+
+
+def _shuffled_set(n: int) -> ActiveSet:
+    """An ActiveSet whose positions went through removals and re-adds."""
+    active = ActiveSet(range(n + n // 3))
+    for item in range(0, n + n // 3, 4)[: n // 3]:
+        active.remove(item)
+    return active
+
+
+class TestDrawEquivalence:
+    """``sample`` batches its rejection draws; these tests show that it
+    returns the same items, and leaves the generator in the same state, as
+    one scalar draw per attempt (the order the golden results pin)."""
+
+    @pytest.mark.parametrize("n", [60, 4000])
+    @pytest.mark.parametrize("interleave", [False, True])
+    def test_sample_matches_one_draw_per_attempt(self, n, interleave):
+        active = _shuffled_set(n)
+        items = list(active)
+        assert len(items) == n
+        ours = np.random.default_rng(2024)
+        reference = np.random.default_rng(2024)
+        for _ in range(40):
+            for k in (1, 2, 3, 4, 17, n // 2, n):
+                assert active.sample(k, ours) == \
+                    _reference_sample(items, k, reference)
+                if interleave:
+                    assert ours.binomial(n, 0.3) == \
+                        reference.binomial(n, 0.3)
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("p", [0.001, 0.05, 0.3, 0.7])
+    def test_sample_binomial_matches_one_draw_per_attempt(self, p):
+        active = _shuffled_set(300)
+        ours = np.random.default_rng(77)
+        reference = np.random.default_rng(77)
+        for _ in range(200):
+            items = list(active)
+            k = int(reference.binomial(len(items), p))
+            drawn = active.sample_binomial(p, ours)
+            assert drawn == _reference_sample(items, k, reference)
+            if drawn:  # shrink the set the way a session does
+                active.discard(drawn[0])
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+    def test_bulk_construction_matches_one_add_per_item(self):
+        items = [5, 3, 5, 9, 1, 3, 7]
+        one_by_one = ActiveSet()
+        for item in items:
+            one_by_one.add(item)
+        bulk = ActiveSet(items)
+        assert list(bulk) == list(one_by_one) == [5, 3, 9, 1, 7]
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        assert bulk.sample(2, rng_a) == one_by_one.sample(2, rng_b)
+
+
 class ActiveSetMachine(RuleBasedStateMachine):
     """Model-based check against a plain Python set."""
 
